@@ -194,7 +194,11 @@ class BatchedPredictor:
     statistically equivalent) because every dropout layer draws sample ``s``'s
     mask slab from a dedicated per-sample random stream: the folded pass
     consumes exactly the random numbers the ``s``-th iteration of a
-    sequential loop would consume.  Head outputs are un-folded to
+    sequential loop would consume.  Each dropout application is one
+    :func:`~repro.tensor.functional.dropout_mask` call that fills a
+    ``(n_mc, n)`` buffer row by row from those streams and thresholds it
+    once, so a folded AGCRN forward makes 25 mask draws (``history`` 12,
+    one cell) however large ``n_mc`` is.  Head outputs are un-folded to
     ``(n_mc, b, horizon, nodes)`` and the Eq. 19 mean/variance decomposition
     collapses the sample axis with single NumPy reductions.
 

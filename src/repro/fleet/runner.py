@@ -437,11 +437,18 @@ class StreamFleet:
             # Every future is consumed under try/except: a deployment whose
             # predict raises (or times out) must degrade to a missing
             # forecast — not abort the tick mid-way, which would strand every
-            # stream's step/pending ledger at an un-advanced state.
+            # stream's step/pending ledger at an un-advanced state.  All
+            # futures share one deadline, so a hung model costs the tick one
+            # ``timeout``, not one per stream.
+            deadline = None if self.timeout is None else time.monotonic() + self.timeout
+
+            def remaining() -> Optional[float]:
+                return None if deadline is None else max(0.0, deadline - time.monotonic())
+
             for name, future in zip(warm, futures[: len(warm)]):
                 wait_start = time.perf_counter() if profiling else 0.0
                 try:
-                    raw = future.result(timeout=self.timeout)
+                    raw = future.result(timeout=remaining())
                 except Exception as error:
                     fleet_events.append(
                         self.event_log.append(
@@ -466,7 +473,7 @@ class StreamFleet:
                     continue
                 wait_start = time.perf_counter() if profiling else 0.0
                 try:
-                    candidate_raw = future.result(timeout=self.timeout)
+                    candidate_raw = future.result(timeout=remaining())
                 except Exception as error:
                     failed_trials[trial.region] = (trial, error)
                     continue

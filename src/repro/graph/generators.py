@@ -87,6 +87,12 @@ def pems_like_network(
     min_edges = num_nodes // 2  # keep things road-like even for tiny budgets
     if num_edges < min_edges:
         raise ValueError(f"num_edges={num_edges} too small for {num_nodes} nodes")
+    max_edges = num_nodes * (num_nodes - 1) // 2
+    if num_edges > max_edges:
+        raise ValueError(
+            f"num_edges={num_edges} exceeds the {max_edges} edges of a simple graph "
+            f"on {num_nodes} nodes"
+        )
     rng = np.random.default_rng(seed)
 
     # Choose a corridor count so corridors alone stay within the edge budget.

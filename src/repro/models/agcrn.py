@@ -58,23 +58,31 @@ class AGCRNCell(Module):
     def init_hidden(self, batch_size: int) -> Tensor:
         return Tensor(np.zeros((batch_size, self.num_nodes, self.hidden_dim)))
 
+    def prepare(self, adjacency: Tensor, embeddings: Tensor) -> Tuple[tuple, tuple]:
+        """Both gates' per-forward terms (see :meth:`repro.nn.AVWGCN.prepare`)."""
+        return (
+            self.gate_conv.prepare(adjacency, embeddings),
+            self.candidate_conv.prepare(adjacency, embeddings),
+        )
+
     def forward(
         self,
         x: Tensor,
         hidden: Tensor,
-        adjacency: Tensor,
-        embeddings: Tensor,
+        prepared: Tuple[tuple, tuple],
         dropout: Optional[nn.Dropout] = None,
     ) -> Tensor:
+        """One GRU step; ``prepared`` comes from :meth:`prepare`."""
+        gate_terms, candidate_terms = prepared
         combined = F.cat([x, hidden], axis=-1)
-        gates = self.gate_conv(combined, adjacency, embeddings)
+        gates = self.gate_conv.propagate(combined, gate_terms)
         if dropout is not None:
             gates = dropout(gates)
         gates = gates.sigmoid()
         update = gates[:, :, : self.hidden_dim]
         reset = gates[:, :, self.hidden_dim :]
         candidate_input = F.cat([x, reset * hidden], axis=-1)
-        candidate = self.candidate_conv(candidate_input, adjacency, embeddings)
+        candidate = self.candidate_conv.propagate(candidate_input, candidate_terms)
         if dropout is not None:
             candidate = dropout(candidate)
         candidate = candidate.tanh()
@@ -156,11 +164,14 @@ class AGCRN(ForecastModel):
         # (B, T, N) -> (B, T, N, 1)
         signal = x.unsqueeze(-1) if x.ndim == 3 else x
         states = [cell.init_hidden(batch_size) for cell in self.cells]
+        # Node-adaptive weights and supports depend on the parameters only:
+        # computed once here, shared by every time step.
+        prepared = [cell.prepare(adjacency, embeddings) for cell in self.cells]
         for step in range(self.history):
             layer_input = signal[:, step, :, :]
             for index, cell in enumerate(self.cells):
                 states[index] = cell(
-                    layer_input, states[index], adjacency, embeddings, dropout=self.encoder_dropout
+                    layer_input, states[index], prepared[index], dropout=self.encoder_dropout
                 )
                 layer_input = states[index]
         return states[-1]

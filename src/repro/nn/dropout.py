@@ -53,11 +53,13 @@ class Dropout(Module):
 
         In folded mode the leading axis of the input is interpreted as
         ``num_samples`` stacked copies of a sub-batch (``n_mc * batch``
-        rows).  One mask per sample is drawn from that sample's dedicated
-        ``streams[s]`` generator, so the random stream consumed for sample
-        ``s`` is identical to what a sequential per-sample pass (reseeded
-        with the same generator) would consume — this is what makes the
-        vectorized Monte-Carlo path bit-equal to the looped one.
+        rows).  Each application makes one :func:`dropout_mask` call: it
+        fills one ``(num_samples, n)`` uniform buffer, row ``s`` from that
+        sample's dedicated ``streams[s]`` generator, and thresholds it once.
+        The random numbers consumed for sample ``s`` are therefore identical
+        to what a sequential per-sample pass (reseeded with the same
+        generator) would consume — this is what makes the vectorized
+        Monte-Carlo path bit-equal to the looped one.
         """
         self._fold_streams = list(streams) if streams is not None else None
 
@@ -69,22 +71,8 @@ class Dropout(Module):
     def forward(self, x: Tensor) -> Tensor:
         if not self.stochastic:
             return x
-        if self._fold_streams is not None:
-            num_samples = len(self._fold_streams)
-            if x.shape[0] % num_samples != 0:
-                raise ValueError(
-                    f"folded input of {x.shape[0]} rows is not divisible by "
-                    f"{num_samples} samples"
-                )
-            sub_batch = x.shape[0] // num_samples
-            sub_shape = (sub_batch,) + tuple(x.shape[1:])
-            mask = np.concatenate(
-                [dropout_mask(sub_shape, self.rate, stream) for stream in self._fold_streams],
-                axis=0,
-            )
-        else:
-            mask = dropout_mask(x.shape, self.rate, self._rng)
-        return x * Tensor(mask)
+        rng = self._fold_streams if self._fold_streams is not None else self._rng
+        return x * Tensor(dropout_mask(x.shape, self.rate, rng))
 
     def __repr__(self) -> str:
         return f"Dropout(rate={self.rate}, mc_active={self.mc_active})"

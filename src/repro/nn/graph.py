@@ -18,7 +18,7 @@ enough for the NumPy substrate.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -221,6 +221,35 @@ class AVWGCN(Module):
         )
         self.bias_pool = Parameter(init.zeros((embed_dim, out_features)))
 
+    def prepare(self, adjacency: Tensor, embeddings: Tensor) -> Tuple[List[Tensor], Tensor, Tensor]:
+        """The layer's input-independent terms: supports, node weights and bias.
+
+        They depend only on the parameters, so a recurrent encoder computes
+        them once per forward and passes them to :meth:`propagate` at every
+        time step.  Returns ``(supports, weights, bias)``: the Chebyshev
+        supports ``T_1 .. T_{K-1}`` (``T_0 = I`` is applied as ``x`` itself),
+        the node-adaptive weights ``(N, K*C_in, C_out)`` and bias ``(N, C_out)``.
+        """
+        num_nodes = embeddings.shape[0]
+        # Chebyshev-style support set: T_0 = I, T_1 = A_hat, T_k = 2 A T_{k-1} - T_{k-2}.
+        supports = [Tensor(np.eye(num_nodes)), adjacency]
+        for _ in range(2, self.cheb_k):
+            supports.append(2.0 * adjacency.matmul(supports[-1]) - supports[-2])
+        weights = embeddings.matmul(self.weight_pool).reshape(
+            num_nodes, self.cheb_k * self.in_features, self.out_features
+        )
+        bias = embeddings.matmul(self.bias_pool)
+        return supports[1 : self.cheb_k], weights, bias
+
+    def propagate(self, x: Tensor, prepared: Tuple[List[Tensor], Tensor, Tensor]) -> Tensor:
+        """Propagate ``x`` (batch, N, C_in) with the terms from :meth:`prepare`."""
+        supports, weights, bias = prepared
+        # (B, N, K * C_in): the signal itself, then each higher-order support applied to it.
+        propagated = F.cat([x] + [support.matmul(x) for support in supports], axis=-1)
+        # Batched per-node contraction: (B, N, 1, K*C_in) @ (N, K*C_in, C_out).
+        out = propagated.unsqueeze(2).matmul(weights).squeeze(2)
+        return out + bias
+
     def forward(self, x: Tensor, adjacency: Tensor, embeddings: Tensor) -> Tensor:
         """Propagate ``x`` (batch, N, C_in) with the learned adjacency.
 
@@ -234,22 +263,4 @@ class AVWGCN(Module):
             Node-embedding parameter shared across layers, shape
             ``(num_nodes, embed_dim)``.
         """
-        num_nodes = x.shape[1]
-        # Chebyshev-style support set: T_0 = I, T_1 = A_hat, T_k = 2 A T_{k-1} - T_{k-2}.
-        supports = [Tensor(np.eye(num_nodes)), adjacency]
-        for _ in range(2, self.cheb_k):
-            supports.append(2.0 * adjacency.matmul(supports[-1]) - supports[-2])
-        supports = supports[: self.cheb_k]
-
-        # (B, N, K * C_in): concatenate the propagated signals over supports.
-        propagated = F.cat([support.matmul(x) for support in supports], axis=-1)
-
-        # Node-adaptive weights: (N, K*C_in, C_out) generated from embeddings.
-        weights = embeddings.matmul(self.weight_pool).reshape(
-            num_nodes, self.cheb_k * self.in_features, self.out_features
-        )
-        bias = embeddings.matmul(self.bias_pool)  # (N, C_out)
-
-        # Batched per-node contraction: (B, N, 1, K*C_in) @ (N, K*C_in, C_out).
-        out = propagated.unsqueeze(2).matmul(weights).squeeze(2)
-        return out + bias
+        return self.propagate(x, self.prepare(adjacency, embeddings))

@@ -8,6 +8,7 @@ familiar functional style while the differentiation machinery lives on the
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -171,13 +172,35 @@ def log_softmax(x: ArrayLike, axis: int = -1) -> Tensor:
 
 
 def dropout_mask(
-    shape: Tuple[int, ...], rate: float, rng: np.random.Generator
+    shape: Tuple[int, ...],
+    rate: float,
+    rng: Union[np.random.Generator, Sequence[np.random.Generator]],
 ) -> np.ndarray:
-    """Sample an inverted-dropout mask (scaled by ``1 / keep_prob``)."""
+    """Sample an inverted-dropout mask (scaled by ``1 / keep_prob``).
+
+    ``rng`` is one generator, or a sequence of ``n`` per-sample generators
+    for a sample-folded ``shape`` whose leading axis stacks ``n`` equal
+    slabs.  Generator ``s`` then fills slab ``s`` of one uniform buffer with
+    exactly the numbers a separate ``shape[0] // n``-row draw from it would
+    give, and the whole buffer is thresholded and scaled at once.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(np.float64) / keep
+    if isinstance(rng, np.random.Generator):
+        uniform = rng.random(shape)
+    else:
+        samples = len(rng)
+        if shape[0] % samples != 0:
+            raise ValueError(
+                f"folded input of {shape[0]} rows is not divisible by {samples} samples"
+            )
+        uniform = np.empty((samples, math.prod(shape) // samples))
+        for stream, slab in zip(rng, uniform):
+            stream.random(out=slab)
+        uniform = uniform.reshape(shape)
+    # True * (1 / keep) rounds exactly like 1.0 / keep: the same mask in one pass.
+    return np.multiply(uniform < keep, 1.0 / keep)
 
 
 def gaussian_nll(

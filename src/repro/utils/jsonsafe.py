@@ -49,6 +49,11 @@ def json_ready(value: Any, nan_to_none: bool = False) -> Any:
             return _coerce_float(item, nan_to_none)
         return item
     if isinstance(value, np.ndarray):
+        # ``tolist`` already yields native bools, ints and floats; only
+        # non-finite floats bound for strict JSON need the element walk.
+        kind = value.dtype.kind
+        if kind in "biu" or (kind == "f" and (not nan_to_none or np.isfinite(value).all())):
+            return value.tolist()
         return json_ready(value.tolist(), nan_to_none=nan_to_none)
     if isinstance(value, dict):
         return {

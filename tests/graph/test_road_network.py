@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import graph
 from repro.graph import RoadNetwork
@@ -129,6 +129,12 @@ class TestGenerators:
         with pytest.raises(ValueError):
             graph.pems_like_network(100, 10)
 
+    def test_pems_like_rejects_budget_above_complete_graph(self):
+        # 10 nodes have at most 45 edges; 46 used to spin forever.
+        assert graph.pems_like_network(10, 45, seed=0).num_edges == 45
+        with pytest.raises(ValueError, match="exceeds the 45 edges"):
+            graph.pems_like_network(10, 46, seed=0)
+
     @given(
         nodes=st.integers(min_value=10, max_value=80),
         extra=st.integers(min_value=0, max_value=40),
@@ -137,6 +143,7 @@ class TestGenerators:
     @settings(max_examples=20, deadline=None)
     def test_pems_like_edge_budget_property(self, nodes, extra, seed):
         edges = nodes - 1 + extra
+        assume(edges <= nodes * (nodes - 1) // 2)  # larger budgets raise (tested above)
         net = graph.pems_like_network(nodes, edges, seed=seed)
         assert net.num_nodes == nodes
         assert net.num_edges == edges

@@ -7,6 +7,8 @@ at the same steps — and end in bit-identical core state — as a run that was
 never interrupted.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,34 @@ class TestPredictFault:
             if r.tick > failed_at and r["c0"].prediction is not None
         ]
         assert recovered
+
+    def test_hung_model_costs_one_tick_deadline(self):
+        """Every future shares the tick's deadline: 8 hung streams wait one
+        ``timeout`` in total, not one each, and all of them fail."""
+        rng = np.random.default_rng(0)
+        fault = PredictFault(hang=True, count=None)
+        server = _server()
+        try:
+            fleet = _fleet(server, num_streams=8, timeout=0.25)
+            rows = [{name: rng.uniform(50.0, 150.0, size=4) for name in fleet.streams}
+                    for _ in range(HISTORY)]
+            for row in rows[:-1]:  # no window yet: nothing is predicted
+                fleet.tick(row)
+            server.fault_injector = fault
+            start = time.monotonic()
+            tick = fleet.tick(rows[-1])
+            elapsed = time.monotonic() - start
+        finally:
+            fault.release()
+            server.stop()
+
+        assert 0.25 <= elapsed < 0.25 + 0.5
+        assert all(result.prediction is None for _, result in tick)
+        failed = sorted(
+            event.message.split(":")[0] for event in tick.events
+            if event.kind == "stream_predict_failed"
+        )
+        assert failed == sorted(fleet.streams)
 
     def test_fault_scoped_to_one_deployment_leaves_others_alone(self):
         fault = PredictFault(

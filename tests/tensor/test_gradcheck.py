@@ -224,6 +224,28 @@ class TestLayerGradchecks:
         assert gradcheck(lambda *ts: forward(ts[0]).sum(), [x] + params)
 
 
+class TestAGCRNGradcheck:
+    """The whole recurrent model: node weights and supports are computed once
+    per forward and shared by every time step and cell, so their gradient is
+    the sum over all of those uses."""
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_agcrn_matches_finite_differences(self, num_layers):
+        from repro.models.agcrn import AGCRN
+
+        rng = np.random.default_rng(4)
+        model = AGCRN(
+            num_nodes=3, history=3, horizon=2, hidden_dim=2, embed_dim=2, cheb_k=3,
+            num_layers=num_layers, encoder_dropout=0.0, decoder_dropout=0.0,
+            heads=("mean",), rng=rng,
+        )
+        x = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(2, 2, 3)))
+        assert gradcheck(
+            lambda *ts: (model(ts[0]) * weights).sum(), [x] + model.parameters()
+        )
+
+
 @st.composite
 def small_arrays(draw, max_side=4):
     shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=max_side))

@@ -123,6 +123,29 @@ class TestEngineEquivalence:
         )
         _assert_results_equal(a, b)
 
+    @pytest.mark.parametrize("batch_size", [1, 5])
+    @pytest.mark.parametrize("cheb_k,num_layers", [(3, 1), (2, 2), (3, 2)])
+    def test_folded_equals_looped_bitwise_for_deeper_models(
+        self, model_scaler_inputs, cheb_k, num_layers, batch_size
+    ):
+        """Higher-order supports, stacked cells and one-window chunks (the
+        single-request serving shape) all keep the two paths bit-equal."""
+        _, scaler, inputs = model_scaler_inputs
+        model = AGCRN(
+            num_nodes=NUM_NODES, history=HISTORY, horizon=HORIZON, hidden_dim=4,
+            embed_dim=2, cheb_k=cheb_k, num_layers=num_layers, encoder_dropout=0.2,
+            decoder_dropout=0.2, heads=("mean", "log_var"), rng=np.random.default_rng(1),
+        )
+        kwargs = dict(num_samples=4, batch_size=batch_size, temperature=1.3)
+        a = monte_carlo_forecast(
+            model, inputs, scaler, rng=np.random.default_rng(9), vectorized=True, **kwargs
+        )
+        b = monte_carlo_forecast(
+            model, inputs, scaler, rng=np.random.default_rng(9), vectorized=False, **kwargs
+        )
+        for field in ("mean", "aleatoric_var", "epistemic_var"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
     def test_single_sample_has_finite_zero_epistemic(self, model_scaler_inputs):
         model, scaler, inputs = model_scaler_inputs
         result = monte_carlo_forecast(
