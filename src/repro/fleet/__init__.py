@@ -26,7 +26,7 @@ inverts the ownership:
   event-log state bit-identically.
 """
 
-from repro.fleet.coordinator import FleetRefitPolicy, RefitCoordinator, RegionTrial
+from repro.fleet.coordinator import FleetRefitPolicy, RefitCoordinator
 from repro.fleet.runner import FleetStepResult, StreamFleet
 from repro.fleet.spatial import SpatialDriftAggregator
 from repro.fleet.streams import FleetStream
@@ -36,7 +36,6 @@ __all__ = [
     "FleetStepResult",
     "FleetStream",
     "RefitCoordinator",
-    "RegionTrial",
     "SpatialDriftAggregator",
     "StreamFleet",
 ]

@@ -12,12 +12,13 @@ coordination:
   region is out of cooldown, and the fleet-wide ``max_concurrent`` budget
   has room) does ONE background refit launch for the whole region;
 * the refitted candidate is **deployed once** on the shared server and
-  trialed across *all* of the region's streams through a
-  :class:`RegionTrial` — the fleet analogue of the single-stream
-  shadow/canary trial: candidate and incumbent are scored on identical
-  live observations in twin rolling monitors, and the candidate is promoted
-  (the region's routes re-pointed at it atomically) only when its rolling
-  MAE/coverage win;
+  trialed across *all* of the region's streams through one
+  :class:`~repro.streaming.promotion.CandidateTrial` keyed by stream — the
+  same trial class a single stream's shadow/canary promotion uses:
+  candidate and incumbent are scored on identical live observations in
+  twin rolling monitors, and the candidate is promoted (the region's
+  routes re-pointed at it atomically) only when its rolling MAE/coverage
+  win;
 * a losing candidate is undeployed; either way zero in-flight requests are
   dropped (the serving pool's snapshot/fallback semantics).
 """
@@ -25,14 +26,12 @@ coordination:
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.streaming.monitor import StreamingMonitor
-from repro.streaming.shard import ResolvedStep
+from repro.streaming.promotion import CandidateTrial
 
 #: Signature of a fleet refit: region name + per-stream recent observations.
 FleetRefitFn = Callable[[str, Dict[str, np.ndarray]], Any]
@@ -56,8 +55,9 @@ class FleetRefitPolicy:
         refits plus open trials.
     mode:
         ``"trial"`` (default) stages the candidate and promotes it only
-        after it wins its :class:`RegionTrial`; ``"immediate"`` re-points
-        the region at the candidate as soon as the refit finishes.
+        after it wins its :class:`~repro.streaming.promotion.CandidateTrial`;
+        ``"immediate"`` re-points the region at the candidate as soon as
+        the refit finishes.
     eval_steps:
         Scored *stream-steps* (one per stream per resolved tick, summed
         over the region) before the trial verdict.
@@ -91,153 +91,6 @@ class FleetRefitPolicy:
             raise ValueError("coverage_tolerance must be >= 0 and metric_window >= 1")
 
 
-class RegionTrial:
-    """Live candidate-vs-incumbent evaluation across one region's streams.
-
-    The fleet records every candidate forecast per stream (made on exactly
-    the windows the incumbent forecast) and resolves both sides against the
-    same observations; scoring starts per stream at the step the candidate's
-    first forecast was made, so the comparison always covers identical
-    forecast sets.
-    """
-
-    def __init__(
-        self,
-        region: str,
-        name: str,
-        version: str,
-        policy: FleetRefitPolicy,
-        nominal: float,
-        horizon: int,
-        start_steps: Dict[str, int],
-    ) -> None:
-        self.region = str(region)
-        self.name = str(name)
-        self.version = str(version)
-        self.policy = policy
-        self.nominal = float(nominal)
-        self.horizon = int(horizon)
-        self.start_steps = dict(start_steps)
-        significance = 1.0 - self.nominal
-        self.candidate_monitor = StreamingMonitor(
-            window=policy.metric_window, significance=significance
-        )
-        self.incumbent_monitor = StreamingMonitor(
-            window=policy.metric_window, significance=significance
-        )
-        self._pending: Dict[str, deque] = {
-            stream: deque(maxlen=self.horizon) for stream in self.start_steps
-        }
-        self._lock = threading.Lock()
-        self._candidate_scored = 0
-        self._incumbent_scored = 0
-
-    @property
-    def streams(self) -> List[str]:
-        return list(self.start_steps)
-
-    # ------------------------------------------------------------------ #
-    # Scoring
-    # ------------------------------------------------------------------ #
-    def record(
-        self,
-        stream: str,
-        step: int,
-        mean: np.ndarray,
-        lower: np.ndarray,
-        upper: np.ndarray,
-    ) -> None:
-        """Remember one candidate forecast ``(horizon, nodes)`` for a stream."""
-        pending = self._pending.get(stream)
-        if pending is None:
-            return
-        with self._lock:
-            pending.append(
-                {"step": int(step), "mean": mean, "lower": lower, "upper": upper}
-            )
-
-    def resolve(
-        self, stream: str, step: int, observation: np.ndarray, valid: np.ndarray
-    ) -> None:
-        """Score the candidate forecasts this stream's observation completes."""
-        pending = self._pending.get(stream)
-        if pending is None:
-            return
-        masked = np.where(valid, observation, np.nan)
-        targets, means, lowers, uppers = [], [], [], []
-        with self._lock:
-            for entry in pending:
-                h = step - entry["step"] - 1
-                if not 0 <= h < self.horizon:
-                    continue
-                targets.append(masked)
-                means.append(entry["mean"][h])
-                lowers.append(entry["lower"][h])
-                uppers.append(entry["upper"][h])
-        if targets:
-            scored = self.candidate_monitor.update(
-                np.stack(targets), np.stack(means), np.stack(lowers), np.stack(uppers)
-            )
-            if scored is not None:
-                with self._lock:
-                    self._candidate_scored += 1
-
-    def observe_incumbent(self, stream: str, resolved: ResolvedStep) -> None:
-        """Score the incumbent's resolutions made from post-trial forecasts."""
-        start = self.start_steps.get(stream)
-        if start is None or resolved.steps is None:
-            return
-        keep = resolved.steps >= start
-        if not keep.any():
-            return
-        scored = self.incumbent_monitor.update(
-            resolved.target[keep],
-            resolved.mean[keep],
-            resolved.lower[keep],
-            resolved.upper[keep],
-        )
-        if scored is not None:
-            with self._lock:
-                self._incumbent_scored += 1
-
-    # ------------------------------------------------------------------ #
-    # Verdict
-    # ------------------------------------------------------------------ #
-    @property
-    def scored_steps(self) -> int:
-        """Scored stream-steps both sides have accumulated."""
-        with self._lock:
-            return min(self._candidate_scored, self._incumbent_scored)
-
-    def verdict(self) -> Optional[Dict[str, Any]]:
-        """Promote/reject decision, or ``None`` while the trial still runs."""
-        if self.scored_steps < self.policy.eval_steps:
-            return None
-        candidate = self.candidate_monitor.snapshot()
-        incumbent = self.incumbent_monitor.snapshot()
-        cand_mae, inc_mae = candidate["mae"], incumbent["mae"]
-        cand_gap = abs(candidate["coverage"] / 100.0 - self.nominal)
-        inc_gap = abs(incumbent["coverage"] / 100.0 - self.nominal)
-        mae_ok = np.isfinite(cand_mae) and (
-            cand_mae <= inc_mae * (1.0 + self.policy.mae_tolerance)
-        )
-        coverage_ok = cand_gap <= inc_gap + self.policy.coverage_tolerance
-        return {
-            "promote": bool(mae_ok and coverage_ok),
-            "candidate_mae": float(cand_mae),
-            "incumbent_mae": float(inc_mae),
-            "candidate_coverage": float(candidate["coverage"]),
-            "incumbent_coverage": float(incumbent["coverage"]),
-            "scored_steps": int(self.scored_steps),
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"RegionTrial({self.region!r}, candidate={self.name!r}, "
-            f"scored={self.scored_steps}/{self.policy.eval_steps})"
-        )
-
-
 class RefitCoordinator:
     """Quorum-triggered, budgeted refit launching plus open-trial registry.
 
@@ -248,8 +101,9 @@ class RefitCoordinator:
 
     #: Runtime-only state the checkpoint legitimately drops: in-flight refit
     #: threads cannot cross a process boundary, and their undrained results
-    #: belong to the killed process.  (``trials`` are rebuilt by the fleet
-    #: runner, which re-deploys candidates itself.)
+    #: belong to the killed process.  Open ``trials`` are runtime-only too:
+    #: no checkpoint saves them, so a restored fleet starts with none and
+    #: every region keeps routing to its incumbent.
     _CHECKPOINT_EXEMPT = ("_inflight", "_finished")
 
     def __init__(
@@ -261,7 +115,7 @@ class RefitCoordinator:
             raise TypeError("refit_fn must be callable: refit_fn(region, recents) -> model")
         self.refit_fn = refit_fn
         self.policy = policy if policy is not None else FleetRefitPolicy()
-        self.trials: Dict[str, RegionTrial] = {}
+        self.trials: Dict[str, CandidateTrial] = {}         # region -> open trial
         self._lock = threading.Lock()
         self._drifted: Dict[str, Dict[str, int]] = {}       # region -> stream -> step
         self._last_trigger: Dict[str, int] = {}

@@ -33,7 +33,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fleet.coordinator import FleetRefitFn, FleetRefitPolicy, RefitCoordinator, RegionTrial
+from repro.fleet.coordinator import FleetRefitFn, FleetRefitPolicy, RefitCoordinator
 from repro.obs.profiler import phase as obs_phase
 from repro.obs.profiler import profiling_enabled, record_phase
 from repro.obs.slo import fleet_source, server_source
@@ -42,6 +42,7 @@ from repro.fleet.spatial import SpatialDriftAggregator
 from repro.fleet.streams import FleetStream
 from repro.serving.router import KeyRouter, Router
 from repro.streaming.drift import DRIFT_KINDS, DriftEvent, EventLog
+from repro.streaming.promotion import CandidateTrial
 from repro.streaming.runner import StepResult
 from repro.streaming.shard import StreamCore
 from repro.utils.jsonsafe import json_ready
@@ -374,7 +375,9 @@ class StreamFleet:
             for region, trial in list(self.coordinator.trials.items()):
                 decision = trial.verdict()
                 if decision is not None:
-                    fleet_events.extend(self._finish_trial(trial, decision, tick_index))
+                    fleet_events.extend(
+                        self._finish_trial(region, trial, decision, tick_index)
+                    )
             # Phase 4 — finished background refits become staged candidates.
             for region, model, error in self.coordinator.take_finished():
                 if error is not None:
@@ -420,12 +423,12 @@ class StreamFleet:
             windows = [warm_windows[name] for name in warm]
             keys: List[Any] = [self.streams[name].key for name in warm]
             deployments: List[Optional[str]] = [None] * len(warm)
-            trial_slots: List[Tuple[RegionTrial, str]] = []
+            trial_slots: List[Tuple[str, CandidateTrial, str]] = []
             if self.coordinator is not None:
-                for trial in self.coordinator.trials.values():
+                for region, trial in self.coordinator.trials.items():
                     for name in trial.streams:
                         if name in warm_windows:  # built from ingested streams only
-                            trial_slots.append((trial, name))
+                            trial_slots.append((region, trial, name))
                             windows.append(warm_windows[name])
                             keys.append(self.streams[name].key)
                             deployments.append(trial.name)
@@ -467,15 +470,15 @@ class StreamFleet:
                         wait_seconds += time.perf_counter() - wait_start
                         waited += 1
                 predictions[name] = self.streams[name].core.record(raw)
-            failed_trials: Dict[str, Tuple[RegionTrial, Exception]] = {}
-            for (trial, name), future in zip(trial_slots, futures[len(warm):]):
-                if trial.region in failed_trials:
+            failed_trials: Dict[str, Tuple[CandidateTrial, Exception]] = {}
+            for (region, trial, name), future in zip(trial_slots, futures[len(warm):]):
+                if region in failed_trials:
                     continue
                 wait_start = time.perf_counter() if profiling else 0.0
                 try:
                     candidate_raw = future.result(timeout=remaining())
                 except Exception as error:
-                    failed_trials[trial.region] = (trial, error)
+                    failed_trials[region] = (trial, error)
                     continue
                 finally:
                     if profiling:
@@ -491,8 +494,8 @@ class StreamFleet:
                 )
             # A candidate that cannot even predict has failed its trial: the
             # broken-refit analogue of a rejection (undeploy, zero drops).
-            for trial, error in failed_trials.values():
-                fleet_events.extend(self._abort_trial(trial, error, tick_index))
+            for region, (trial, error) in failed_trials.items():
+                fleet_events.extend(self._abort_trial(region, trial, error, tick_index))
             if profiling and waited:
                 # Time this thread spent blocked on the shared server; the
                 # model_forward it overlaps runs on the worker threads.
@@ -574,7 +577,7 @@ class StreamFleet:
     # ------------------------------------------------------------------ #
     # Coordinated refits and promotion
     # ------------------------------------------------------------------ #
-    def _trial_for(self, region: Optional[str]) -> Optional[RegionTrial]:
+    def _trial_for(self, region: Optional[str]) -> Optional[CandidateTrial]:
         if self.coordinator is None or region is None:
             return None
         return self.coordinator.trials.get(region)
@@ -617,8 +620,7 @@ class StreamFleet:
             )
             return events
         nominal = 1.0 - streams[0].core.calibrator.config.significance
-        trial = RegionTrial(
-            region,
+        trial = CandidateTrial(
             name,
             version,
             policy,
@@ -645,15 +647,19 @@ class StreamFleet:
         return events
 
     def _finish_trial(
-        self, trial: RegionTrial, decision: Dict[str, Any], tick_index: int
+        self,
+        region: str,
+        trial: CandidateTrial,
+        decision: Dict[str, Any],
+        tick_index: int,
     ) -> List[DriftEvent]:
         """Promote or reject a region candidate; returns the logged events."""
         promote = bool(decision["promote"])
-        self.coordinator.trials.pop(trial.region, None)
+        self.coordinator.trials.pop(region, None)
         if promote:
-            self._promote_region(trial.region, trial.name)
+            self._promote_region(region, trial.name)
             # The winner's residual scale differs from the incumbent's.
-            for stream in self.region_streams(trial.region):
+            for stream in self.region_streams(region):
                 stream.core.reset_scores(keep_alpha=True)
         elif trial.name in self.server.pool:
             # Never routed as a primary except by its own (already resolved)
@@ -665,7 +671,7 @@ class StreamFleet:
             value=decision["candidate_mae"],
             threshold=decision["incumbent_mae"],
             message=(
-                f"{trial.name} for {trial.region!r}: MAE "
+                f"{trial.name} for {region!r}: MAE "
                 f"{decision['candidate_mae']:.4g} vs incumbent "
                 f"{decision['incumbent_mae']:.4g}, coverage "
                 f"{decision['candidate_coverage']:.1f}% vs "
@@ -676,11 +682,11 @@ class StreamFleet:
         return [self.event_log.append(event)]
 
     def _abort_trial(
-        self, trial: RegionTrial, error: Exception, tick_index: int
+        self, region: str, trial: CandidateTrial, error: Exception, tick_index: int
     ) -> List[DriftEvent]:
         """Kill a trial whose candidate cannot predict; the region keeps its
         incumbent and the fleet keeps ticking (zero dropped requests)."""
-        self.coordinator.trials.pop(trial.region, None)
+        self.coordinator.trials.pop(region, None)
         if trial.name in self.server.pool:
             self.server.undeploy(trial.name)
         event = DriftEvent(
@@ -689,7 +695,7 @@ class StreamFleet:
             value=0.0,
             threshold=0.0,
             message=(
-                f"{trial.name} for {trial.region!r} failed to predict and was "
+                f"{trial.name} for {region!r} failed to predict and was "
                 f"undeployed: {type(error).__name__}: {error}"
             ),
         )

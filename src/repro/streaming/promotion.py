@@ -19,9 +19,14 @@ incumbent.  :class:`PromotionPolicy` makes the publication step explicit:
     deployments, a matching share of external traffic) during the trial —
     real exposure, bounded blast radius.
 
-:class:`CandidateTrial` is the live A/B state: the candidate's pending
-forecasts, the two same-window rolling monitors, the canary admission
-counter, and the promote/reject verdict.
+:class:`CandidateTrial` is the live A/B state, keyed by stream: the
+candidate's pending forecasts per stream, the two same-window rolling
+monitors, and the promote/reject verdict.  It is the one trial class of the
+repo — single streams open it over one stream, and
+:class:`~repro.fleet.StreamFleet` opens it over every stream of a refitted
+region.  What only the single stream needs (the candidate model itself, the
+router a deployed trial replaced, the canary admission counter) lives on
+:class:`~repro.streaming.StreamingForecaster`.
 """
 
 from __future__ import annotations
@@ -29,11 +34,12 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.streaming.monitor import StreamingMonitor
+from repro.streaming.shard import ResolvedStep
 
 #: Recognized promotion modes.
 PROMOTION_MODES = ("immediate", "shadow", "canary")
@@ -86,35 +92,39 @@ class PromotionPolicy:
 
 
 class CandidateTrial:
-    """Live evaluation state of one refitted candidate on the stream.
+    """Live candidate-vs-incumbent evaluation, keyed by stream.
 
-    The trial scores candidate and incumbent over the *same* resolved
-    observations: the runner feeds every incumbent resolution into
+    The one trial behind both promotion paths: a
+    :class:`~repro.streaming.StreamingForecaster` opens it over its single
+    stream, a :class:`~repro.fleet.StreamFleet` over every stream of the
+    refitted region.  Candidate and incumbent are scored over the *same*
+    resolved observations: the runner feeds every incumbent resolution into
     :meth:`observe_incumbent` and every new observation into
     :meth:`resolve`, which settles the candidate's own pending forecasts.
-    Scoring starts only once both sides have forecasts made *after* the
-    trial began, so neither model is judged on pre-trial predictions.
+    Scoring starts per stream at ``start_steps[stream]``, so neither model
+    is judged on forecasts made before the trial began.
+
+    ``policy`` is read only for ``eval_steps``, ``mae_tolerance``,
+    ``coverage_tolerance`` and ``metric_window``, which both
+    :class:`PromotionPolicy` and
+    :class:`~repro.fleet.FleetRefitPolicy` carry.
     """
 
     def __init__(
         self,
-        model: Any,
-        predict: Callable,
-        policy: PromotionPolicy,
-        start_step: int,
-        horizon: int,
-        nominal: float,
         name: str,
         version: str,
+        policy: Any,
+        nominal: float,
+        horizon: int,
+        start_steps: Dict[str, int],
     ) -> None:
-        self.model = model
-        self.predict = predict
-        self.policy = policy
-        self.start_step = int(start_step)
-        self.horizon = int(horizon)
-        self.nominal = float(nominal)
         self.name = str(name)
         self.version = str(version)
+        self.policy = policy
+        self.nominal = float(nominal)
+        self.horizon = int(horizon)
+        self.start_steps = dict(start_steps)
         significance = 1.0 - self.nominal
         self.candidate_monitor = StreamingMonitor(
             window=policy.metric_window, significance=significance
@@ -122,55 +132,53 @@ class CandidateTrial:
         self.incumbent_monitor = StreamingMonitor(
             window=policy.metric_window, significance=significance
         )
-        self._pending: deque = deque(maxlen=self.horizon)
+        self._pending: Dict[str, deque] = {
+            stream: deque(maxlen=self.horizon) for stream in self.start_steps
+        }
         self._lock = threading.Lock()
         self._candidate_scored = 0
         self._incumbent_scored = 0
-        self._canary_total = 0
-        self._canary_served = 0
-        self.deployed = False          # registered on the server's pool
-        self.previous_router = None    # router to restore when the trial ends
 
-    # ------------------------------------------------------------------ #
-    # Canary admission
-    # ------------------------------------------------------------------ #
-    def serve_candidate_now(self) -> bool:
-        """Deficit-counter admission: candidate serves its canary share."""
-        if self.policy.mode != "canary":
-            return False
-        with self._lock:
-            self._canary_total += 1
-            if self._canary_served < self.policy.canary_fraction * self._canary_total:
-                self._canary_served += 1
-                return True
-            return False
+    @property
+    def streams(self) -> List[str]:
+        return list(self.start_steps)
 
     # ------------------------------------------------------------------ #
     # Scoring
     # ------------------------------------------------------------------ #
     def record(
         self,
+        stream: str,
         step: int,
         mean: np.ndarray,
         lower: np.ndarray,
         upper: np.ndarray,
     ) -> None:
-        """Remember one candidate forecast ``(horizon, nodes)`` for scoring."""
+        """Remember one candidate forecast ``(horizon, nodes)`` for a stream."""
+        pending = self._pending.get(stream)
+        if pending is None:
+            return
         with self._lock:
-            self._pending.append(
+            pending.append(
                 {"step": int(step), "mean": mean, "lower": lower, "upper": upper}
             )
 
-    def resolve(self, step: int, observation: np.ndarray, valid: np.ndarray) -> None:
-        """Score every pending candidate forecast this observation completes."""
+    def resolve(
+        self, stream: str, step: int, observation: np.ndarray, valid: np.ndarray
+    ) -> None:
+        """Score the candidate forecasts this stream's observation completes."""
+        pending = self._pending.get(stream)
+        if pending is None:
+            return
+        start = self.start_steps[stream]
         masked = np.where(valid, observation, np.nan)
         targets, means, lowers, uppers = [], [], [], []
         with self._lock:
-            for entry in self._pending:
+            for entry in pending:
                 h = step - entry["step"] - 1
                 # Pre-start entries are skipped on both sides so candidate and
                 # incumbent are always compared over identical forecast sets.
-                if not 0 <= h < self.horizon or entry["step"] < self.start_step:
+                if not 0 <= h < self.horizon or entry["step"] < start:
                     continue
                 targets.append(masked)
                 means.append(entry["mean"][h])
@@ -184,23 +192,19 @@ class CandidateTrial:
                 with self._lock:
                     self._candidate_scored += 1
 
-    def observe_incumbent(
-        self,
-        target: np.ndarray,
-        mean: np.ndarray,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        forecast_steps: np.ndarray,
-    ) -> None:
+    def observe_incumbent(self, stream: str, resolved: ResolvedStep) -> None:
         """Score the incumbent's resolutions made from post-trial forecasts."""
-        keep = np.asarray(forecast_steps) >= self.start_step
+        start = self.start_steps.get(stream)
+        if start is None or resolved.steps is None:
+            return
+        keep = resolved.steps >= start
         if not keep.any():
             return
         scored = self.incumbent_monitor.update(
-            np.asarray(target)[keep],
-            np.asarray(mean)[keep],
-            np.asarray(lower)[keep],
-            np.asarray(upper)[keep],
+            resolved.target[keep],
+            resolved.mean[keep],
+            resolved.lower[keep],
+            resolved.upper[keep],
         )
         if scored is not None:
             with self._lock:
@@ -211,7 +215,7 @@ class CandidateTrial:
     # ------------------------------------------------------------------ #
     @property
     def scored_steps(self) -> int:
-        """Scored steps both sides have accumulated.
+        """Scored stream-steps both sides have accumulated, summed over streams.
 
         Counted on the trial itself, not via the monitors' ring counts —
         those cap at ``metric_window``, which would stall any trial with
@@ -249,6 +253,6 @@ class CandidateTrial:
 
     def __repr__(self) -> str:
         return (
-            f"CandidateTrial({self.name!r}, mode={self.policy.mode!r}, "
+            f"CandidateTrial({self.name!r}, streams={len(self.start_steps)}, "
             f"scored={self.scored_steps}/{self.policy.eval_steps})"
         )

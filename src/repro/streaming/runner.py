@@ -26,7 +26,11 @@ dropped-out sensors) and
    legacy ``swap_model`` path), or after a shadow/canary trial in which the
    candidate is scored on live observations against the incumbent and
    promoted only when its rolling MAE/coverage win; either way zero
-   in-flight requests are dropped;
+   in-flight requests are dropped.  The scoring and verdict live in a
+   one-stream :class:`~repro.streaming.promotion.CandidateTrial` — the
+   same class the fleet opens per region — while the runner keeps what
+   only a single stream needs: the candidate model, the router a deployed
+   trial replaced, and the canary admission counter;
 5. **forecasts** the next ``horizon`` steps from the updated history window
    and emits width-adapted conformal intervals.
 
@@ -166,6 +170,15 @@ class StreamingForecaster:
         self._refit_thread: Optional[threading.Thread] = None
         self._refit_count = 0
         self._trial: Optional[CandidateTrial] = None
+        # What only a single stream needs of its open trial: the candidate
+        # and its predict function, the router its server deployment
+        # replaced (None when it was not deployed; a server's router never
+        # is), and the canary deficit counter (forecasts emitted / served).
+        self._candidate: Any = None
+        self._candidate_predict: Optional[Callable[[np.ndarray], PredictionResult]] = None
+        self._replaced_router: Any = None
+        self._canary_total = 0
+        self._canary_served = 0
         self._displaced: Optional[str] = None  # incumbent kept for manual rollback
 
     # ------------------------------------------------------------------ #
@@ -255,23 +268,16 @@ class StreamingForecaster:
         events: List[DriftEvent] = []
         with self._lock:
             trial = self._trial
+            candidate_predict = self._candidate_predict
 
         # 1. Resolve pending forecasts this observation completes — the
         #    incumbent's always, and a trialed candidate's alongside.
         resolved = core.resolve(s, obs, valid)
         if trial is not None:
-            if resolved.steps is not None:
-                # Same resolved rows, restricted to post-trial forecasts, so
-                # the incumbent-vs-candidate comparison covers identical
-                # windows.
-                trial.observe_incumbent(
-                    resolved.target,
-                    resolved.mean,
-                    resolved.lower,
-                    resolved.upper,
-                    resolved.steps,
-                )
-            trial.resolve(s, obs, valid)
+            # Same resolved rows, restricted to post-trial forecasts, so the
+            # incumbent-vs-candidate comparison covers identical windows.
+            trial.observe_incumbent(self._TRIAL_STREAM, resolved)
+            trial.resolve(self._TRIAL_STREAM, s, obs, valid)
             decision = trial.verdict()
             if decision is not None:
                 events.extend(self._finish_trial(trial, decision, s))
@@ -300,14 +306,18 @@ class StreamingForecaster:
             # During a trial the candidate forecasts the same window; in
             # canary mode it also serves its share of the emitted forecasts.
             if trial is not None:
-                candidate_raw = trial.predict(window)
+                candidate_raw = candidate_predict(window)
                 candidate_calibrated, cand_lower_b, cand_upper_b = core.calibrate(
                     candidate_raw
                 )
                 trial.record(
-                    s, candidate_raw.mean[0], cand_lower_b[0], cand_upper_b[0]
+                    self._TRIAL_STREAM,
+                    s,
+                    candidate_raw.mean[0],
+                    cand_lower_b[0],
+                    cand_upper_b[0],
                 )
-                if trial.serve_candidate_now():
+                if self._serve_candidate_now(trial):
                     prediction = candidate_calibrated
                     lower, upper = cand_lower_b[0], cand_upper_b[0]
                     served_by = "candidate"
@@ -435,6 +445,20 @@ class StreamingForecaster:
     # ------------------------------------------------------------------ #
     # Candidate trials (shadow / canary promotion)
     # ------------------------------------------------------------------ #
+    #: The key of the runner's one stream in its :class:`CandidateTrial`.
+    _TRIAL_STREAM = "stream"
+
+    def _serve_candidate_now(self, trial: CandidateTrial) -> bool:
+        """Deficit-counter admission: the candidate serves its canary share."""
+        if trial.policy.mode != "canary":
+            return False
+        with self._lock:
+            self._canary_total += 1
+            if self._canary_served < trial.policy.canary_fraction * self._canary_total:
+                self._canary_served += 1
+                return True
+            return False
+
     def _server_supports_pool(self) -> bool:
         return (
             self.server is not None
@@ -451,18 +475,17 @@ class StreamingForecaster:
             name = f"{self.version_prefix}-cand{count}"
             version = f"{self.version_prefix}-recal{count}"
             trial = CandidateTrial(
-                model,
-                predict,
+                name,
+                version,
                 policy,
+                nominal=1.0 - self.calibrator.config.significance,
+                horizon=self.horizon,
                 # The first step where *both* models are guaranteed to have
                 # forecast: scoring earlier steps would judge the pair on
                 # different windows.
-                start_step=self.core.step + 1,
-                horizon=self.horizon,
-                nominal=1.0 - self.calibrator.config.significance,
-                name=name,
-                version=version,
+                start_steps={self._TRIAL_STREAM: self.core.step + 1},
             )
+        replaced_router = None
         if self._server_supports_pool():
             # Expose the candidate to external traffic for the trial: shadow
             # mirrors every request, canary serves its weighted share.  The
@@ -470,19 +493,19 @@ class StreamingForecaster:
             from repro.serving.router import ShadowRouter, TrafficSplitRouter
 
             self.server.deploy(name, model, version=version)
-            trial.deployed = True
-            trial.previous_router = self.server.router
+            replaced_router = self.server.router
             if policy.mode == "shadow":
-                self.server.router = ShadowRouter(
-                    shadows=[name], inner=trial.previous_router
-                )
+                self.server.router = ShadowRouter(shadows=[name], inner=replaced_router)
             else:
                 # The non-canary share keeps the caller's routing intact.
                 self.server.router = TrafficSplitRouter(
                     {None: 1.0 - policy.canary_fraction, name: policy.canary_fraction},
-                    inner=trial.previous_router,
+                    inner=replaced_router,
                 )
         with self._lock:
+            self._candidate, self._candidate_predict = model, predict
+            self._replaced_router = replaced_router
+            self._canary_total = self._canary_served = 0
             self._trial = trial
         self.event_log.append(
             DriftEvent(
@@ -504,16 +527,19 @@ class StreamingForecaster:
         events: List[DriftEvent] = []
         promote = bool(decision["promote"])
         with self._lock:
-            self._trial = None
+            model, predict = self._candidate, self._candidate_predict
+            replaced_router = self._replaced_router
+            self._trial = self._candidate = self._candidate_predict = None
+            self._replaced_router = None
             if promote:
                 # Adopt the winner wholesale so save() persists the model
                 # actually serving, not the losing incumbent.
-                self.forecaster = trial.model
-                self._predict = trial.predict
-        if trial.deployed:
+                self.forecaster = model
+                self._predict = predict
+        if replaced_router is not None:
             # Restore the caller's router before touching the route table so
             # no new request targets a retiring candidate.
-            self.server.router = trial.previous_router
+            self.server.router = replaced_router
             if promote:
                 previous = self.server.promote(trial.name)
                 # Keep exactly one displaced generation around for a manual
@@ -536,7 +562,7 @@ class StreamingForecaster:
                 # route; queued requests routed at it fall back, zero drops.
                 self.server.undeploy(trial.name)
         elif self.server is not None and promote:
-            previous = self.server.swap_model(trial.model, version=trial.version)
+            previous = self.server.swap_model(model, version=trial.version)
             events.append(
                 DriftEvent(
                     kind="model_swapped",

@@ -132,14 +132,17 @@ def cat(tensors: Sequence[ArrayLike], axis: int = 0) -> Tensor:
     """Concatenate tensors along an existing axis."""
     tensors = [_as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(grad: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+        # Offsets are computed here, not per call: under no_grad (every MC
+        # forward) the backward never runs.
+        start = 0
+        for tensor in tensors:
+            stop = start + tensor.data.shape[axis]
             index = [slice(None)] * grad.ndim
             index[axis] = slice(start, stop)
             tensor._accumulate(grad[tuple(index)])
+            start = stop
 
     return Tensor._make(out_data, tuple(tensors), backward)
 

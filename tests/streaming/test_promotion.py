@@ -14,11 +14,14 @@ import numpy as np
 import pytest
 
 from repro.core.inference import PredictionResult
+from repro.fleet import FleetRefitPolicy
 from repro.serving import InferenceServer
 from repro.streaming import (
+    CandidateTrial,
     CoverageBreachDetector,
     PersistenceForecaster,
     PromotionPolicy,
+    ResolvedStep,
     StreamingForecaster,
 )
 
@@ -223,3 +226,119 @@ class TestShadowPromotionEndToEnd:
         start = next(i for i, s in enumerate(served) if s == "candidate")
         window = served[start - 1 :]
         assert abs(window.count("candidate") / len(window) - 0.25) < 0.05
+
+
+# --------------------------------------------------------------------- #
+# The stream-keyed trial itself (shared by single streams and fleets)
+# --------------------------------------------------------------------- #
+def _trial(streams, policy=None, start=0):
+    return CandidateTrial(
+        "cand",
+        "recal1",
+        policy if policy is not None else PromotionPolicy(mode="shadow", eval_steps=5),
+        nominal=0.95,
+        horizon=HORIZON,
+        start_steps={stream: start for stream in streams},
+    )
+
+
+def _forecast(value):
+    """A flat ``(horizon, nodes)`` forecast with a +/-1 interval."""
+    mean = np.full((HORIZON, NODES), float(value))
+    return mean, mean - 1.0, mean + 1.0
+
+
+def _incumbent_resolution(made_at, target, value):
+    """What a stream core resolves at ``made_at + 1`` from one forecast."""
+    mean = np.full((1, NODES), float(value))
+    return ResolvedStep(
+        observed=np.full(NODES, float(target)),
+        filled=np.full(NODES, float(target)),
+        valid=np.ones(NODES, dtype=bool),
+        covered=None,
+        abs_error=None,
+        target=np.full((1, NODES), float(target)),
+        mean=mean,
+        lower=mean - 1.0,
+        upper=mean + 1.0,
+        steps=np.array([made_at]),
+    )
+
+
+def _score_tick(trial, streams, step, target=50.0, candidate=50.0, incumbent=50.0):
+    """One tick per stream: resolve ``step`` on both sides, then forecast."""
+    observation = np.full(NODES, float(target))
+    valid = np.ones(NODES, dtype=bool)
+    for stream in streams:
+        trial.observe_incumbent(
+            stream, _incumbent_resolution(step - 1, target, incumbent)
+        )
+        trial.resolve(stream, step, observation, valid)
+        trial.record(stream, step, *_forecast(candidate))
+
+
+class TestCandidateTrial:
+    def test_forecast_recorded_before_start_is_never_scored(self):
+        """A refit staged in the background can record a forecast made before
+        the trial's start step; the candidate must not be scored on it."""
+        trial = _trial(["a"], start=5)
+        trial.record("a", 3, *_forecast(1_000.0))  # pre-start, grossly wrong
+        trial.resolve("a", 4, np.full(NODES, 50.0), np.ones(NODES, dtype=bool))
+        assert trial.candidate_monitor.steps == 0
+        trial.record("a", 5, *_forecast(52.0))
+        trial.resolve("a", 6, np.full(NODES, 50.0), np.ones(NODES, dtype=bool))
+        assert trial.candidate_monitor.steps == 1
+        # Only the post-start forecast (error 2) is in the rolling MAE.
+        assert trial.candidate_monitor.snapshot()["mae"] == pytest.approx(2.0)
+
+    def test_incumbent_resolutions_before_start_are_not_scored(self):
+        trial = _trial(["a"], start=5)
+        trial.observe_incumbent("a", _incumbent_resolution(4, 50.0, 50.0))
+        assert trial.incumbent_monitor.steps == 0
+        trial.observe_incumbent("a", _incumbent_resolution(5, 50.0, 50.0))
+        assert trial.incumbent_monitor.steps == 1
+
+    def test_scored_steps_sum_stream_steps_across_streams(self):
+        streams = ["a", "b", "c"]
+        trial = _trial(streams, policy=FleetRefitPolicy(eval_steps=1_000))
+        _score_tick(trial, streams, step=0)  # nothing pending yet
+        assert trial.scored_steps == 0
+        for step in range(1, 5):
+            _score_tick(trial, streams, step)
+            assert trial.scored_steps == 3 * step
+        assert trial.streams == streams
+        assert repr(trial) == "CandidateTrial('cand', streams=3, scored=12/1000)"
+
+    def test_streams_outside_the_trial_are_ignored(self):
+        trial = _trial(["a"])
+        trial.record("z", 0, *_forecast(50.0))
+        trial.resolve("z", 1, np.full(NODES, 50.0), np.ones(NODES, dtype=bool))
+        trial.observe_incumbent("z", _incumbent_resolution(0, 50.0, 50.0))
+        assert trial.candidate_monitor.steps == 0
+        assert trial.incumbent_monitor.steps == 0
+        assert trial.scored_steps == 0
+        assert trial.streams == ["a"]
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            PromotionPolicy(mode="shadow", eval_steps=30, metric_window=5),
+            FleetRefitPolicy(eval_steps=30, metric_window=5),
+        ],
+    )
+    def test_eval_steps_beyond_metric_window_reach_a_verdict(self, policy):
+        """The multi-stream counterpart of the single-stream regression: the
+        scored count must not be capped by the monitors' ring length."""
+        streams = ["a", "b"]
+        trial = _trial(streams, policy=policy)
+        _score_tick(trial, streams, step=0)
+        for step in range(1, 15):
+            _score_tick(trial, streams, step, candidate=50.5, incumbent=51.0)
+            assert trial.verdict() is None
+        _score_tick(trial, streams, 15, candidate=50.5, incumbent=51.0)
+        decision = trial.verdict()
+        assert decision is not None
+        assert decision["scored_steps"] == 30
+        assert decision["promote"] is True
+        assert decision["candidate_mae"] == pytest.approx(0.5)
+        assert decision["incumbent_mae"] == pytest.approx(1.0)
